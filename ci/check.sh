@@ -82,6 +82,12 @@ rm -rf "$tourn_ref"
 # BENCH_episodes.json as a workflow artifact); scratch dirs are removed.
 [ -n "${CHIRON_BENCH_SMOKE_OUT:-}" ] || rm -rf "$smoke_out"
 
+echo "==> end-to-end benchmark's own checks (perfbench/)"
+# Among them: the decision-surface loop gives the bits of run_episode, one
+# seed gives one digest, and every metric printed is declared in
+# BENCHMARK.json.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> serve daemon smoke (submit, poll, drain-shutdown) under the thread matrix"
 for t in 1 4; do
     echo "    CHIRON_THREADS=$t"

@@ -18,9 +18,14 @@
 //! bitwise-identical, and the mechanism needs no learning:
 //! [`Mechanism::train`] is a no-op.
 
+use crate::memo::FleetMemo;
 use crate::MechanismError;
 use chiron::{Mechanism, MechanismParams};
 use chiron_fedsim::{EdgeLearningEnv, RoundOutcome};
+use std::cmp::Ordering;
+
+/// One sealed bid: `(score, node index, ask price)`.
+type Bid = (f64, usize, f64);
 
 /// Configuration of the [`FMoreAuction`], validated by
 /// [`try_validate`](FMoreConfig::try_validate) (`EnvConfigError`-style:
@@ -127,6 +132,9 @@ impl FMoreConfig {
 pub struct FMoreAuction {
     config: FMoreConfig,
     params: MechanismParams,
+    /// The fleet maxima bids are normalized by: `(freq_max, data weight,
+    /// price cap)`.
+    maxima: FleetMemo<(f64, f64, f64)>,
 }
 
 impl FMoreAuction {
@@ -138,7 +146,11 @@ impl FMoreAuction {
     /// [`FMoreConfig::try_validate`].
     pub fn new(config: FMoreConfig, params: MechanismParams) -> Result<Self, MechanismError> {
         config.try_validate()?;
-        Ok(Self { config, params })
+        Ok(Self {
+            config,
+            params,
+            maxima: FleetMemo::new(),
+        })
     }
 
     /// The validated configuration.
@@ -160,47 +172,64 @@ impl FMoreAuction {
 
     /// Scores every node's bid for the current round and returns the
     /// posted price vector: winners get their ask, losers get zero.
-    fn settle(&self, env: &EdgeLearningEnv) -> Vec<f64> {
+    fn settle(&mut self, env: &EdgeLearningEnv) -> Vec<f64> {
         let sigma = env.sigma();
         let round = env.round();
         let weights = env.data_weights();
         let n = env.num_nodes();
-        let max_freq = env
-            .nodes()
-            .iter()
-            .map(|node| node.params().freq_max)
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let max_weight = weights.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
-        let max_cap = env
-            .nodes()
-            .iter()
-            .map(|node| node.price_cap(sigma))
-            .fold(f64::MIN_POSITIVE, f64::max);
+        let (max_freq, max_weight, max_cap) = *self.maxima.get(env, 0.0, || {
+            let max_freq = env
+                .nodes()
+                .iter()
+                .map(|node| node.params().freq_max)
+                .fold(f64::MIN_POSITIVE, f64::max);
+            let max_weight = weights.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+            let max_cap = env
+                .nodes()
+                .iter()
+                .map(|node| node.price_cap(sigma))
+                .fold(f64::MIN_POSITIVE, f64::max);
+            (max_freq, max_weight, max_cap)
+        });
 
-        // (score, node index, ask price) per bid.
-        let mut bids: Vec<(f64, usize, f64)> = env
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let ask = self.ask_fraction(i, round) * node.price_cap(sigma);
-                let quality =
-                    0.5 * node.params().freq_max / max_freq + 0.5 * weights[i] / max_weight;
-                let score =
-                    self.config.quality_weight * quality - self.config.price_weight * ask / max_cap;
-                (score, i, ask)
-            })
-            .collect();
-        // Highest score first; ties broken by lower node index so winner
-        // selection is a total, deterministic order.
-        bids.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
+        let bids = env.nodes().iter().enumerate().map(|(i, node)| {
+            let ask = self.ask_fraction(i, round) * node.price_cap(sigma);
+            let quality = 0.5 * node.params().freq_max / max_freq + 0.5 * weights[i] / max_weight;
+            let score =
+                self.config.quality_weight * quality - self.config.price_weight * ask / max_cap;
+            (score, i, ask)
+        });
         let mut prices = vec![0.0; n];
-        for &(_, i, ask) in bids.iter().take(self.config.winners.min(n)) {
+        for (_, i, ask) in top_k(bids, self.config.winners.min(n)) {
             prices[i] = ask;
         }
         prices
     }
+}
+
+/// The auction's total order on bids: highest score first, ties broken by
+/// lower node index, so winner selection is deterministic.
+fn bid_order(a: &Bid, b: &Bid) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The first `k` of `bids` under [`bid_order`], best first — what sorting
+/// every bid and taking `k` gives, but streamed through a `k`-entry buffer.
+fn top_k(bids: impl Iterator<Item = Bid>, k: usize) -> Vec<Bid> {
+    let mut best: Vec<Bid> = Vec::with_capacity(k + 1);
+    for bid in bids {
+        if best.len() == k
+            && best
+                .last()
+                .is_none_or(|worst| bid_order(&bid, worst).is_ge())
+        {
+            continue; // no better than the worst kept bid
+        }
+        let at = best.partition_point(|kept| bid_order(kept, &bid).is_lt());
+        best.insert(at, bid);
+        best.truncate(k);
+    }
+    best
 }
 
 impl Mechanism for FMoreAuction {
@@ -239,6 +268,7 @@ mod tests {
     use super::*;
     use chiron::EpisodeRun;
     use chiron_data::DatasetKind;
+    use chiron_fedsim::fleet::{FleetConfig, UploadModel};
     use chiron_fedsim::EnvConfig;
 
     fn env(seed: u64) -> EdgeLearningEnv {
@@ -348,6 +378,112 @@ mod tests {
         // And the stream varies over rounds for a fixed node.
         let varies = (1..16).any(|r| a.ask_fraction(0, r) != a.ask_fraction(0, 0));
         assert!(varies, "asks must be shaded per round");
+    }
+
+    /// The selection `settle` made before it streamed its bids: score
+    /// every bid, sort them all, post the first `K`.
+    fn sorted_settle(a: &FMoreAuction, env: &EdgeLearningEnv) -> Vec<f64> {
+        let sigma = env.sigma();
+        let weights = env.data_weights();
+        let max_freq = env
+            .nodes()
+            .iter()
+            .map(|node| node.params().freq_max)
+            .fold(f64::MIN_POSITIVE, f64::max);
+        let max_weight = weights.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+        let max_cap = env
+            .nodes()
+            .iter()
+            .map(|node| node.price_cap(sigma))
+            .fold(f64::MIN_POSITIVE, f64::max);
+        let mut bids: Vec<Bid> = env
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let ask = a.ask_fraction(i, env.round()) * node.price_cap(sigma);
+                let quality =
+                    0.5 * node.params().freq_max / max_freq + 0.5 * weights[i] / max_weight;
+                let score =
+                    a.config.quality_weight * quality - a.config.price_weight * ask / max_cap;
+                (score, i, ask)
+            })
+            .collect();
+        bids.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut prices = vec![0.0; env.num_nodes()];
+        for &(_, i, ask) in bids.iter().take(a.config.winners.min(env.num_nodes())) {
+            prices[i] = ask;
+        }
+        prices
+    }
+
+    fn bits(prices: &[f64]) -> Vec<u64> {
+        prices.iter().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn streaming_top_k_matches_a_full_sort_under_ties() {
+        // Four distinct scores over up to 300 bids: nearly every bid ties
+        // exactly with others, so only the index tie-break orders them.
+        for n in [1usize, 2, 5, 40, 300] {
+            let bids: Vec<Bid> = (0..n)
+                .map(|i| {
+                    let h = splitmix((n as u64) ^ ((i as u64) << 20));
+                    ([-0.5, 0.0, 0.25, 1.0][(h % 4) as usize], i, i as f64)
+                })
+                .collect();
+            let mut sorted = bids.clone();
+            sorted.sort_by(bid_order);
+            for k in [0, 1, 3, 7, n, n + 2] {
+                let want: Vec<Bid> = sorted.iter().copied().take(k).collect();
+                assert_eq!(top_k(bids.iter().copied(), k), want, "n = {n}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_settle_picks_the_sorted_winners_and_prices() {
+        // Identical nodes with unshaded asks score exactly alike, so the
+        // winners are decided by the index tie-break alone.
+        let identical = EnvConfig {
+            fleet: FleetConfig {
+                freq_max_range: (1.5e9, 1.5e9),
+                upload: UploadModel::FixedTime {
+                    range: (15.0, 15.0),
+                },
+                reserve_range: (0.01, 0.01),
+                ..FleetConfig::paper(12)
+            },
+            oracle_noise: 0.0,
+            ..EnvConfig::paper_small(DatasetKind::MnistLike, 60.0)
+        };
+        let flat = FMoreConfig {
+            ask_jitter: 0.0,
+            winners: 4,
+            ..FMoreConfig::default()
+        };
+        let cases = [
+            (identical.clone(), flat),
+            (identical.clone(), FMoreConfig::default()),
+            (
+                EnvConfig::paper_large(DatasetKind::MnistLike, 60.0),
+                FMoreConfig::default(),
+            ),
+        ];
+        for (config, auction_config) in cases {
+            let mut e = EdgeLearningEnv::new(config, 7);
+            let mut a = FMoreAuction::new(auction_config, MechanismParams::new(3)).expect("valid");
+            for _ in 0..4 {
+                let prices = a.decide_prices(&e, false);
+                assert_eq!(bits(&prices), bits(&sorted_settle(&a, &e)));
+                e.step(&prices);
+            }
+        }
+        let e = EdgeLearningEnv::new(identical, 7);
+        let mut a = FMoreAuction::new(flat, MechanismParams::new(3)).expect("valid");
+        let prices = a.decide_prices(&e, false);
+        let winners: Vec<usize> = (0..12).filter(|&i| prices[i] > 0.0).collect();
+        assert_eq!(winners, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod drl_single;
 mod error;
 mod fmore;
 mod greedy;
+mod memo;
 mod planner;
 mod registry;
 mod stackelberg;

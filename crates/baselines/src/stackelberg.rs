@@ -22,6 +22,7 @@
 //! the mechanism is seedless: repeated episodes are bitwise-identical by
 //! construction, and [`Mechanism::train`] is a no-op.
 
+use crate::memo::FleetMemo;
 use crate::MechanismError;
 use chiron::{Mechanism, MechanismParams};
 use chiron_fedsim::lemma::equalizing_prices;
@@ -91,10 +92,13 @@ impl StackelbergConfig {
 /// let (summary, _) = leader.run_episode(&mut env);
 /// assert!(summary.spent <= 60.0 + 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackelbergPricing {
     config: StackelbergConfig,
     params: MechanismParams,
+    /// The full-cap probe per fleet: the spend at the price-cap total and
+    /// the equalizing split that realizes it.
+    full_cap: FleetMemo<(f64, Vec<f64>)>,
 }
 
 impl StackelbergPricing {
@@ -106,7 +110,11 @@ impl StackelbergPricing {
     /// [`StackelbergConfig::try_validate`].
     pub fn new(config: StackelbergConfig, params: MechanismParams) -> Result<Self, MechanismError> {
         config.try_validate()?;
-        Ok(Self { config, params })
+        Ok(Self {
+            config,
+            params,
+            full_cap: FleetMemo::new(),
+        })
     }
 
     /// The validated configuration.
@@ -117,11 +125,15 @@ impl StackelbergPricing {
     /// The realized spend `Σ pᵢ·ζᵢ*` if the leader posts the Lemma-1
     /// equalizing split of `total` — the aggregate follower response.
     fn spend_at(env: &EdgeLearningEnv, total: f64) -> f64 {
+        Self::spend_of(env, &equalizing_prices(env.nodes(), env.sigma(), total))
+    }
+
+    /// The realized spend `Σ pᵢ·ζᵢ*` of posting `prices`.
+    fn spend_of(env: &EdgeLearningEnv, prices: &[f64]) -> f64 {
         let sigma = env.sigma();
-        let prices = equalizing_prices(env.nodes(), sigma, total);
         env.nodes()
             .iter()
-            .zip(&prices)
+            .zip(prices)
             .filter_map(|(node, &p)| node.respond(p, sigma).map(|r| r.payment))
             .sum()
     }
@@ -146,34 +158,39 @@ impl Mechanism for StackelbergPricing {
         // Invert the aggregate follower response: find the total price
         // whose realized spend meets the round's target. The spend is
         // monotone non-decreasing in the total, so bisection converges;
-        // if even the full cap cannot spend the target, post the cap.
-        let total = if Self::spend_at(env, cap) <= target {
-            cap
-        } else {
-            let mut lo = cap * 1e-6;
-            let mut hi = cap;
-            for _ in 0..self.config.bisection_iters {
-                let mid = 0.5 * (lo + hi);
-                if Self::spend_at(env, mid) <= target {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            // Engage-or-exit: if the kept total sits below every follower's
-            // participation threshold (spend 0 — e.g. the paced target has
-            // shrunk beneath the cheapest engagement), posting it would
-            // burn a ghost round that nobody accepts and the ledger never
-            // closes. Post the other bracket end instead: the smallest
-            // engaging total. It either spends real money (slightly over
-            // target) or overdraws the remaining budget, which ends the
-            // episode through `BudgetExhausted`.
-            if Self::spend_at(env, lo) > 0.0 {
-                lo
+        // if even the full cap cannot spend the target, post the cap. The
+        // full-cap probe depends on the fleet alone and is computed once.
+        let (cap_spend, cap_prices) = self.full_cap.get(env, cap, || {
+            let prices = equalizing_prices(env.nodes(), env.sigma(), cap);
+            (Self::spend_of(env, &prices), prices)
+        });
+        if *cap_spend <= target {
+            return cap_prices.clone();
+        }
+        let mut lo = cap * 1e-6;
+        let mut hi = cap;
+        // The spend at `lo`, once a probe has moved it there.
+        let mut spend_lo = None;
+        for _ in 0..self.config.bisection_iters {
+            let mid = 0.5 * (lo + hi);
+            let spend = Self::spend_at(env, mid);
+            if spend <= target {
+                lo = mid;
+                spend_lo = Some(spend);
             } else {
-                hi
+                hi = mid;
             }
-        };
+        }
+        // Engage-or-exit: if the kept total sits below every follower's
+        // participation threshold (spend 0 — e.g. the paced target has
+        // shrunk beneath the cheapest engagement), posting it would burn a
+        // ghost round that nobody accepts and the ledger never closes.
+        // Post the other bracket end instead: the smallest engaging total.
+        // It either spends real money (slightly over target) or overdraws
+        // the remaining budget, which ends the episode through
+        // `BudgetExhausted`.
+        let spend_lo = spend_lo.unwrap_or_else(|| Self::spend_at(env, lo));
+        let total = if spend_lo > 0.0 { lo } else { hi };
         equalizing_prices(env.nodes(), env.sigma(), total)
     }
 

@@ -1,5 +1,6 @@
 //! Non-learning reference mechanisms.
 
+use crate::memo::FleetMemo;
 use chiron::{Mechanism, MechanismParams};
 use chiron_fedsim::lemma::equalizing_prices;
 use chiron_fedsim::{EdgeLearningEnv, RoundOutcome};
@@ -22,10 +23,12 @@ use chiron_fedsim::{EdgeLearningEnv, RoundOutcome};
 /// let (summary, _) = mech.run_episode(&mut env);
 /// assert!(summary.rounds > 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticPrice {
     fraction: f64,
     params: MechanismParams,
+    /// The cap-fraction vector, per fleet.
+    prices: FleetMemo<Vec<f64>>,
 }
 
 impl StaticPrice {
@@ -50,7 +53,11 @@ impl StaticPrice {
             fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0,1], got {fraction}"
         );
-        Self { fraction, params }
+        Self {
+            fraction,
+            params,
+            prices: FleetMemo::new(),
+        }
     }
 
     /// The configured fraction.
@@ -71,10 +78,15 @@ impl Mechanism for StaticPrice {
     fn begin_episode(&mut self, _env: &EdgeLearningEnv) {}
 
     fn decide_prices(&mut self, env: &EdgeLearningEnv, _explore: bool) -> Vec<f64> {
-        env.nodes()
-            .iter()
-            .map(|n| n.price_cap(env.sigma()) * self.fraction)
-            .collect()
+        let fraction = self.fraction;
+        self.prices
+            .get(env, fraction, || {
+                env.nodes()
+                    .iter()
+                    .map(|n| n.price_cap(env.sigma()) * fraction)
+                    .collect()
+            })
+            .clone()
     }
 
     fn observe(&mut self, _outcome: &RoundOutcome, _prices: &[f64]) {}
@@ -89,10 +101,12 @@ impl Mechanism for StaticPrice {
 /// a contender from the paper, but a useful upper reference: a learned
 /// inner agent should approach its time efficiency, and a learned exterior
 /// agent should beat its fixed pacing on final accuracy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LemmaOracle {
     total_fraction: f64,
     params: MechanismParams,
+    /// The equalizing split of the per-round total, per fleet.
+    prices: FleetMemo<Vec<f64>>,
 }
 
 impl LemmaOracle {
@@ -120,6 +134,7 @@ impl LemmaOracle {
         Self {
             total_fraction,
             params,
+            prices: FleetMemo::new(),
         }
     }
 }
@@ -137,7 +152,11 @@ impl Mechanism for LemmaOracle {
 
     fn decide_prices(&mut self, env: &EdgeLearningEnv, _explore: bool) -> Vec<f64> {
         let total = env.total_price_cap() * self.total_fraction;
-        equalizing_prices(env.nodes(), env.sigma(), total)
+        self.prices
+            .get(env, total, || {
+                equalizing_prices(env.nodes(), env.sigma(), total)
+            })
+            .clone()
     }
 
     fn observe(&mut self, _outcome: &RoundOutcome, _prices: &[f64]) {}

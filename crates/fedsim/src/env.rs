@@ -11,7 +11,11 @@ use crate::{BudgetLedger, EdgeNode, NodeResponse};
 use chiron_data::{DatasetKind, DatasetSpec};
 use chiron_tensor::{RngState, TensorRng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// Source of [`EdgeLearningEnv::fleet_id`]: one fresh value per built fleet.
+static FLEET_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Round-to-round variation of each node's uplink.
 ///
@@ -457,6 +461,9 @@ pub struct EdgeLearningEnv {
     // paths that still want a `&[EdgeNode]` (Lemma 1, baselines). The
     // O(selected) hot path never touches it.
     nodes_cache: OnceLock<Vec<EdgeNode>>,
+    // Σ price caps at σ; the fleet and σ are fixed at construction.
+    price_cap_cache: OnceLock<f64>,
+    fleet_id: u64,
     weights: Vec<f64>,
     oracle: Box<dyn AccuracyOracle>,
     ledger: BudgetLedger,
@@ -539,6 +546,8 @@ impl EdgeLearningEnv {
             config,
             fleet,
             nodes_cache: OnceLock::new(),
+            price_cap_cache: OnceLock::new(),
+            fleet_id: FLEET_ID.fetch_add(1, Ordering::Relaxed),
             weights,
             oracle,
             ledger,
@@ -614,6 +623,15 @@ impl EdgeLearningEnv {
     /// The column-store fleet backing this environment.
     pub fn fleet(&self) -> &Fleet {
         &self.fleet
+    }
+
+    /// A process-unique id of this environment's fleet, assigned when the
+    /// fleet is built. The fleet and σ never change afterwards, so state
+    /// derived from them alone (price caps, Lemma-1 splits, fleet maxima)
+    /// may be cached under this id together with σ. Two environments never
+    /// share an id, even when built from the same config and seed.
+    pub fn fleet_id(&self) -> u64 {
+        self.fleet_id
     }
 
     /// Node `i`, constructed on demand from the column store.
@@ -694,11 +712,14 @@ impl EdgeLearningEnv {
     }
 
     /// Sum of per-node price caps — a natural upper bound for total-price
-    /// actions.
+    /// actions. Summed in node order on the first call and cached (the
+    /// fleet and σ are immutable), so every later call is O(1).
     pub fn total_price_cap(&self) -> f64 {
-        (0..self.fleet.len())
-            .map(|i| self.fleet.node(i).price_cap(self.config.sigma))
-            .sum()
+        *self.price_cap_cache.get_or_init(|| {
+            (0..self.fleet.len())
+                .map(|i| self.fleet.node(i).price_cap(self.config.sigma))
+                .sum()
+        })
     }
 
     /// Lemma-1 reference time for the round's posted fleet: the

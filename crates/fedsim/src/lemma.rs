@@ -39,6 +39,12 @@ pub fn price_for_time(node: &EdgeNode, sigma: u32, target_time: f64) -> f64 {
 /// price (every node's price-for-time is non-increasing in the target), so
 /// the mapping is monotone and the fixed point unique.
 ///
+/// The bisection halves the bracket at most 200 times and stops early at
+/// its floating-point fixed point: each step is a deterministic map on
+/// `(lo, hi)`, so once a step leaves both ends unchanged every later step
+/// would too, and the result is bitwise the one 200 halvings give. A
+/// 100k-node fleet reaches it in about 50 halvings.
+///
 /// The returned prices sum to at most `total_price` (exactly, unless every
 /// node is pinned at a boundary).
 ///
@@ -80,10 +86,14 @@ pub fn equalizing_prices(nodes: &[EdgeNode], sigma: u32, total_price: f64) -> Ve
     } else {
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            let before = (lo.to_bits(), hi.to_bits());
             if total_for_time(mid) > total_price {
                 lo = mid; // too expensive → allow more time
             } else {
                 hi = mid;
+            }
+            if (lo.to_bits(), hi.to_bits()) == before {
+                break; // fixed point: every further halving repeats this one
             }
         }
         hi

@@ -24,12 +24,14 @@ fn build_all(e0: &EdgeLearningEnv, seed: u64) -> Vec<Box<dyn Mechanism>> {
         .collect()
 }
 
-/// Counts protocol calls while delegating to a real zoo entry, so the
-/// [`EpisodeRun`] blanket driver runs the genuine mechanism underneath.
+/// Counts protocol calls and records every posted price vector (as bits)
+/// while delegating to a real zoo entry, so the [`EpisodeRun`] blanket
+/// driver runs the genuine mechanism underneath.
 struct ProtocolProbe {
     inner: Box<dyn Mechanism>,
     begins: usize,
     observes: usize,
+    prices: Vec<Vec<u64>>,
 }
 
 impl ProtocolProbe {
@@ -38,7 +40,15 @@ impl ProtocolProbe {
             inner,
             begins: 0,
             observes: 0,
+            prices: Vec::new(),
         }
+    }
+
+    /// The price bits of one evaluation episode on `env`.
+    fn priced_episode(&mut self, env: &mut EdgeLearningEnv) -> Vec<Vec<u64>> {
+        self.prices.clear();
+        self.run_episode(env);
+        std::mem::take(&mut self.prices)
     }
 }
 
@@ -57,7 +67,10 @@ impl Mechanism for ProtocolProbe {
     }
 
     fn decide_prices(&mut self, env: &EdgeLearningEnv, explore: bool) -> Vec<f64> {
-        self.inner.decide_prices(env, explore)
+        let prices = self.inner.decide_prices(env, explore);
+        self.prices
+            .push(prices.iter().map(|p| p.to_bits()).collect());
+        prices
     }
 
     fn observe(&mut self, outcome: &chiron_repro::chiron_fedsim::RoundOutcome, prices: &[f64]) {
@@ -159,6 +172,54 @@ fn evaluation_bits_are_identical_across_thread_counts() {
         per_thread_bits[0], per_thread_bits[1],
         "mechanism evaluation must be bitwise-identical at 1 vs 4 pool threads"
     );
+}
+
+/// Entries whose build sizes a policy or a plan to the fleet it is given:
+/// they price only that fleet, so the fleet swap below skips them. Every
+/// other entry must price any fleet it is handed.
+const BUILT_FOR_ONE_FLEET: [&str; 5] = ["chiron", "flat-ppo", "drl-based", "greedy", "dp-planner"];
+
+#[test]
+fn reused_instances_price_like_fresh_ones_across_episodes_and_fleets() {
+    let budget = 50.0;
+    let seed = 11;
+    // The swap changes the seed, the node count and σ at once, so pricing
+    // state kept from the first fleet cannot pass for the second's.
+    let swapped = || {
+        let mut config = EnvConfig::paper_small(DatasetKind::MnistLike, budget);
+        config.oracle_noise = 0.0;
+        config.fleet = FleetConfig::paper(8);
+        config.sigma = 3;
+        EdgeLearningEnv::new(config, seed + 1)
+    };
+    let params = MechanismParams::new(seed);
+    for spec in registry() {
+        let fresh = |e: &mut EdgeLearningEnv| {
+            let mech = (spec.build)(e, &params).expect("registered entries build");
+            ProtocolProbe::over(mech).priced_episode(e)
+        };
+        let mut first = env(budget, seed);
+        let want = fresh(&mut first);
+        let mut reused =
+            ProtocolProbe::over((spec.build)(&first, &params).expect("registered entries build"));
+        for episode in 0..2 {
+            assert!(
+                reused.priced_episode(&mut first) == want,
+                "{}: episode {episode} of a reused instance priced unlike a fresh one",
+                spec.id
+            );
+        }
+        if BUILT_FOR_ONE_FLEET.contains(&spec.id) {
+            continue;
+        }
+        let mut second = swapped();
+        let want = fresh(&mut second);
+        assert!(
+            reused.priced_episode(&mut second) == want,
+            "{}: an instance moved to another fleet priced unlike a fresh one",
+            spec.id
+        );
+    }
 }
 
 #[test]
