@@ -22,15 +22,17 @@ for t in 1 4 8; do
         --test mechanism_conformance --test serve
 done
 
-echo "==> kernel + determinism suites under the SIMD × thread matrix"
+echo "==> kernel + determinism + zero-alloc suites under the SIMD × thread matrix"
 # CHIRON_SIMD=0 pins the scalar dispatch tier; 1 uses the best detected
 # (AVX2/NEON). Both must be bitwise-identical at every thread count —
-# tests/simd.rs compares against the pinned scalar reference explicitly.
+# tests/simd.rs compares against the pinned scalar reference explicitly —
+# and allocation-free in steady state on both tiers (the AVX2 small-product
+# path takes a scratch buffer for its `nt` transpose; the scalar one none).
 for s in 0 1; do
     for t in 1 4 8; do
         echo "    CHIRON_SIMD=$s CHIRON_THREADS=$t"
         CHIRON_SIMD=$s CHIRON_THREADS=$t cargo test -q --release --offline \
-            --test simd --test parallel_determinism
+            --test simd --test parallel_determinism --test zero_alloc
     done
     CHIRON_SIMD=$s cargo test -q --release --offline -p chiron-tensor kernel
 done

@@ -84,32 +84,37 @@ impl TensorRng {
     /// For the fan-based schemes the shape is interpreted as a matrix via
     /// [`crate::Shape::as_matrix`]: `fan_in` is the row count and `fan_out`
     /// the column count, matching a `(in, out)` weight layout.
+    ///
+    /// The storage comes from the [`scratch`](crate::scratch) arena, where
+    /// the tensor's drop returns it, so building and dropping networks
+    /// repeatedly reuses the same buffers instead of growing the arena.
     pub fn init(&mut self, dims: &[usize], scheme: Init) -> Tensor {
         let t = Tensor::zeros(dims);
         let (fan_in, fan_out) = t.shape().as_matrix();
         let n = t.numel();
-        let data: Vec<f32> = match scheme {
-            Init::Zeros => vec![0.0; n],
-            Init::Constant(c) => vec![c; n],
+        let mut data = crate::scratch::take_vec_with_capacity(n);
+        match scheme {
+            Init::Zeros => data.resize(n, 0.0),
+            Init::Constant(c) => data.resize(n, c),
             Init::Uniform(lo, hi) => {
                 let d = Uniform::new(lo, hi);
-                (0..n).map(|_| d.sample(&mut self.rng)).collect()
+                data.extend((0..n).map(|_| d.sample(&mut self.rng)));
             }
             Init::Normal(std) => {
                 let d = Normal::new(0.0, std as f64).expect("std must be finite");
-                (0..n).map(|_| d.sample(&mut self.rng) as f32).collect()
+                data.extend((0..n).map(|_| d.sample(&mut self.rng) as f32));
             }
             Init::XavierUniform => {
                 let bound = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
                 let d = Uniform::new(-bound, bound);
-                (0..n).map(|_| d.sample(&mut self.rng)).collect()
+                data.extend((0..n).map(|_| d.sample(&mut self.rng)));
             }
             Init::HeNormal => {
                 let std = (2.0 / fan_in as f64).sqrt();
                 let d = Normal::new(0.0, std).expect("std must be finite");
-                (0..n).map(|_| d.sample(&mut self.rng) as f32).collect()
+                data.extend((0..n).map(|_| d.sample(&mut self.rng) as f32));
             }
-        };
+        }
         Tensor::from_vec(data, dims)
     }
 

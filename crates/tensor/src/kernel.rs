@@ -5,21 +5,27 @@
 //! `matmul_tn`, `matmul_nt`) and the conv-backward products route through
 //! [`matmul_views`], which dispatches on problem size:
 //!
-//! * **Direct path** (small products, e.g. the PPO MLP's `30×64·64×64`):
-//!   the original unblocked row loops — no packing overhead, always scalar.
+//! * **Direct path** (small products, e.g. the PPO MLP's `32×64·64×64`):
+//!   no blocking, packing, pack cache or autotuner. On the AVX2 tier the
+//!   row- and col-major operands run an unpacked register-tiled kernel
+//!   (up to 4 rows × 16 columns of accumulators, lanes along `n`, masked
+//!   column edges, A read in place, a col-major B transposed once into
+//!   scratch); on the scalar tier, on NEON and for `BatchCol` views, the
+//!   unblocked row loops.
 //! * **Blocked path** (the conv-dominated im2col products): BLIS-style
 //!   `jc → pc → ic` panel blocking, both operands packed into contiguous
 //!   panels from the scratch arena, and a register-tiled micro-kernel.
 //!
-//! On the blocked path two further decisions are made per call, neither of
-//! which affects a single output bit (see below):
+//! Two further decisions are made per call, neither of which affects a
+//! single output bit (see below):
 //!
-//! * **Dispatch tier** ([`simd::active_tier`]): AVX2 on capable x86-64,
-//!   NEON on aarch64, scalar elsewhere — or pinned to scalar with
-//!   `CHIRON_SIMD=0`. The vector micro-kernels lay lanes along `n` and use
-//!   unfused multiply-then-add, so every tier executes each element's
-//!   canonical fold exactly.
-//! * **Blocking parameters** ([`tune::params_for`]): the `mc`/`kc`/`nc`
+//! * **Dispatch tier** ([`simd::active_tier`]), on both paths: AVX2 on
+//!   capable x86-64, NEON on aarch64, scalar elsewhere — or pinned to
+//!   scalar with `CHIRON_SIMD=0`. The vector kernels lay lanes along `n`
+//!   and use unfused multiply-then-add, so every tier executes each
+//!   element's canonical fold exactly.
+//! * **Blocking parameters** ([`tune::params_for`]), on the blocked path
+//!   only: the `mc`/`kc`/`nc`
 //!   panel sizes and the register micro-tile, resolved from the per-shape
 //!   autotune profile cache (measured once per shape when `CHIRON_AUTOTUNE`
 //!   is on, deterministic heuristic otherwise). The scalar tier always uses
@@ -45,15 +51,21 @@
 //! fold — for **any** `kc`. Micro-tile and `mc`/`nc` choices only regroup
 //! which elements advance together, never an element's own op sequence; the
 //! SIMD tiers advance several elements per instruction with one lane per
-//! element and no horizontal reduction (see [`simd`]). The direct path's
-//! zero-skip (`a[i][k] == 0.0` contributes `acc + ±0.0·b`, which never
-//! changes a finite accumulator that started at `+0.0`) and the packed
-//! path's zero padding are both identities on finite data, so:
+//! element and no horizontal reduction (see [`simd`]). No path skips a
+//! term: a zero in A still contributes `acc + 0·b`, so `0·inf` is NaN
+//! everywhere. The packed path's zero padding only feeds lanes that are
+//! never stored, and the direct path's masked edge lanes likewise. So:
 //!
-//! * the blocked kernel equals the naive reference **bitwise** on every
-//!   tier and parameter choice (the property tests assert exact equality
-//!   on random shapes, and `tests/simd.rs` crosses tiers), and
-//! * size-based dispatch between the two paths is numerically invisible.
+//! * both paths equal the naive reference **bitwise** on every tier and
+//!   parameter choice (the property tests assert exact equality on random
+//!   shapes with edge values, and `tests/simd.rs` crosses tiers), and
+//! * size-based dispatch between the two paths is numerically invisible,
+//!   on finite and non-finite data alike.
+//!
+//! One caveat: when an add meets *two* NaN operands, x86 propagates the
+//! first one's payload, and which operand is first is the compiler's
+//! choice (Rust leaves NaN payloads unspecified). NaN-ness is exact on
+//! every path; the payload of such a NaN is not part of the contract.
 //!
 //! # Thread-count invariance
 //!
@@ -92,11 +104,13 @@ pub const MR: usize = 8;
 pub const NR: usize = 4;
 
 /// Multiply-add count below which the packed path's setup (panel packing,
-/// C-tile staging) costs more than it saves. The PPO-sized products
-/// (`30·64·64 ≈ 1.2×10⁵`) stay direct; every conv im2col product of the
-/// paper's CNNs (≥ 1.4×10⁶) goes blocked. Dispatch is by shape only, so a
-/// given product always takes the same path at every thread count — and the
-/// two paths agree bitwise anyway (see module docs).
+/// C-tile staging, pack-cache and autotune lookups) costs more than it
+/// saves. The PPO-sized products (`32·64·64 ≈ 1.3×10⁵`) and batch-1 eval
+/// forwards stay direct, on the unpacked SIMD kernel where the tier has
+/// one; every conv im2col product of the paper's CNNs (≥ 1.4×10⁶) goes
+/// blocked. Dispatch is by shape only, so a given product always takes the
+/// same path at every thread count — and the two paths agree bitwise anyway
+/// (see module docs).
 const BLOCKED_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Output rows per parallel block on the *direct* path. Fixed by the
@@ -390,14 +404,14 @@ pub fn matmul_into_ep(a: &MatView<'_>, b: &MatView<'_>, out: &mut [f32], ep: Epi
         chiron_telemetry::Counter::new("tensor.kernel.dispatch.neon");
     let flops = 2 * m * k * n;
     let start = KERNEL_GFLOPS.enabled().then(std::time::Instant::now);
+    let tier = simd::active_tier();
+    match tier {
+        DispatchTier::Scalar => &DISPATCH_SCALAR,
+        DispatchTier::Avx2 => &DISPATCH_AVX2,
+        DispatchTier::Neon => &DISPATCH_NEON,
+    }
+    .add(1);
     if m * k * n >= BLOCKED_FLOP_THRESHOLD {
-        let tier = simd::active_tier();
-        match tier {
-            DispatchTier::Scalar => &DISPATCH_SCALAR,
-            DispatchTier::Avx2 => &DISPATCH_AVX2,
-            DispatchTier::Neon => &DISPATCH_NEON,
-        }
-        .add(1);
         let key = tune::ShapeKey {
             m,
             k,
@@ -408,7 +422,7 @@ pub fn matmul_into_ep(a: &MatView<'_>, b: &MatView<'_>, out: &mut [f32], ep: Epi
         let params = tune::params_for(tier, key, a, b);
         blocked(a, b, m, k, n, out, tier, params, ep);
     } else {
-        direct(a, b, m, k, n, out, ep);
+        direct(a, b, m, k, n, out, tier, ep);
     }
     if let Some(t0) = start {
         KERNEL_CALLS.add(1);
@@ -422,9 +436,9 @@ pub fn matmul_into_ep(a: &MatView<'_>, b: &MatView<'_>, out: &mut [f32], ep: Epi
 
 /// Explicit-tier, explicit-parameters variant of [`matmul_into`]:
 /// verification and benchmark hook. Same size-based path dispatch, but no
-/// telemetry and no autotuner — the given tier and blocking are used as-is
-/// on the blocked path (the direct path is always scalar). Bitwise-equal to
-/// [`matmul_into`] for every tier/parameter choice (module docs).
+/// telemetry and no autotuner — the given tier is used on both paths, the
+/// given blocking on the blocked one. Bitwise-equal to [`matmul_into`] for
+/// every tier/parameter choice (module docs).
 ///
 /// # Panics
 ///
@@ -443,7 +457,7 @@ pub fn matmul_into_with(
     if m * k * n >= BLOCKED_FLOP_THRESHOLD {
         blocked(a, b, m, k, n, out, tier, params, Epilogue::None);
     } else {
-        direct(a, b, m, k, n, out, Epilogue::None);
+        direct(a, b, m, k, n, out, tier, Epilogue::None);
     }
 }
 
@@ -500,15 +514,15 @@ pub fn matmul_batched_into(
         chiron_telemetry::Counter::new("tensor.kernel.batched.instances");
     BATCHED_CALLS.add(1);
     BATCHED_INSTANCES.add(a.len() as u64);
+    let tier = simd::active_tier();
     if m * k * n < BLOCKED_FLOP_THRESHOLD {
-        // Small instances: each runs the scalar direct path; the pool
-        // fans out whole instances (nested row-parallelism runs inline).
+        // Small instances: each runs the direct path; the pool fans out
+        // whole instances (nested row-parallelism runs inline).
         pool::parallel_chunks_mut(outs, 1, |i, chunk| {
-            direct(&a[i], b, m, k, n, &mut *chunk[0], ep);
+            direct(&a[i], b, m, k, n, &mut *chunk[0], tier, ep);
         });
         return;
     }
-    let tier = simd::active_tier();
     let key = tune::ShapeKey {
         m,
         k,
@@ -566,12 +580,12 @@ pub fn matmul_batched_into(
 }
 
 // ---------------------------------------------------------------------------
-// Direct path: the original unblocked loops, for small products.
+// Direct path: unpacked, unblocked loops for small products.
 // ---------------------------------------------------------------------------
 
-/// One output row with a row-major `b`: `o_row += a[i][·] · b` in ikj order
-/// with the zero-skip. Shared by the serial and parallel paths so they are
-/// bitwise identical by construction.
+/// One output row with a row-major `b`: `o_row += a[i][·] · b` in ikj order.
+/// Shared by the serial and parallel paths so they are bitwise identical by
+/// construction.
 #[inline]
 fn direct_row_b_rowmajor(
     a: &MatView<'_>,
@@ -583,9 +597,6 @@ fn direct_row_b_rowmajor(
 ) {
     for kk in 0..k {
         let aik = a.get(i, kk);
-        if aik == 0.0 {
-            continue;
-        }
         let b_row = &b[kk * n..(kk + 1) * n];
         for (o, &bkj) in o_row.iter_mut().zip(b_row) {
             *o += aik * bkj;
@@ -594,12 +605,13 @@ fn direct_row_b_rowmajor(
 }
 
 /// One output row with a column-major `b` (the `nt` case): independent dot
-/// products over `b`'s contiguous columns. Each dot is a strict ascending-`k`
-/// fold into its own accumulator — a serial dependency chain the compiler
-/// cannot reorder — so for a row-major `a` the row is jammed across four
-/// columns at a time: four *independent* chains run in one `k` loop, hiding
-/// FMA latency without changing any chain's fold order. Every branch folds
-/// in ascending `k`, so all are bitwise identical.
+/// products over `b`'s contiguous columns, each started from its C value.
+/// Each dot is a strict ascending-`k` fold into its own accumulator — a
+/// serial dependency chain the compiler cannot reorder — so for a row-major
+/// `a` the row is jammed across four columns at a time: four *independent*
+/// chains run in one `k` loop, hiding add latency without changing any
+/// chain's fold order. Every branch folds in ascending `k`, so all are
+/// bitwise identical.
 #[inline]
 fn direct_row_b_colmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: &mut [f32]) {
     if let Layout::RowMajor { cols, .. } = a.layout {
@@ -610,7 +622,8 @@ fn direct_row_b_colmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: 
             let c1 = &b[(j + 1) * k..(j + 1) * k + k];
             let c2 = &b[(j + 2) * k..(j + 2) * k + k];
             let c3 = &b[(j + 3) * k..(j + 3) * k + k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            let (mut s0, mut s1, mut s2, mut s3) =
+                (o_row[j], o_row[j + 1], o_row[j + 2], o_row[j + 3]);
             for kk in 0..k {
                 let aik = a_row[kk];
                 s0 += aik * c0[kk];
@@ -626,20 +639,16 @@ fn direct_row_b_colmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: 
         }
         for (j, o) in o_row.iter_mut().enumerate().skip(j) {
             let b_col = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
             for (&aik, &bkj) in a_row.iter().zip(b_col) {
-                acc += aik * bkj;
+                *o += aik * bkj;
             }
-            *o = acc;
         }
     } else {
         for (j, o) in o_row.iter_mut().enumerate() {
             let b_col = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
             for (kk, &bkj) in b_col.iter().enumerate() {
-                acc += a.get(i, kk) * bkj;
+                *o += a.get(i, kk) * bkj;
             }
-            *o = acc;
         }
     }
 }
@@ -651,16 +660,73 @@ fn direct_row_b_colmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: 
 fn direct_row_generic(a: &MatView<'_>, b: &MatView<'_>, i: usize, k: usize, o_row: &mut [f32]) {
     for kk in 0..k {
         let aik = a.get(i, kk);
-        if aik == 0.0 {
-            continue;
-        }
         for (j, o) in o_row.iter_mut().enumerate() {
             *o += aik * b.get(kk, j);
         }
     }
 }
 
-fn direct(
+/// Runs `f(row0, rows)` over `out` (row-major, `n` columns): on the pool in
+/// [`ROWS_PER_BLOCK`]-row blocks when the product is large enough and more
+/// than one thread is configured, else once over all rows. The partition
+/// depends on the shape only, and `f` computes each element the same way
+/// either way.
+fn for_row_blocks<F>(m: usize, k: usize, n: usize, out: &mut [f32], f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if m * k * n >= PARALLEL_FLOP_THRESHOLD && m > ROWS_PER_BLOCK && pool::threads() > 1 {
+        pool::parallel_chunks_mut(out, ROWS_PER_BLOCK * n, |block, rows| {
+            f(block * ROWS_PER_BLOCK, rows);
+        });
+    } else {
+        f(0, out);
+    }
+}
+
+/// The small-product path: no blocking, packing, pack cache or autotuner.
+/// On the AVX2 tier the row- and col-major layout pairs run the unpacked
+/// register-tiled kernel ([`direct_avx2`]); everything else — the scalar
+/// tier, NEON, and `BatchCol` operands — runs the scalar row loops. Each
+/// row's full-`k` accumulation completes before its epilogue is applied,
+/// the same per-element op order as the separate bias/activation passes
+/// (see [`Epilogue`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn direct(
+    a: &MatView<'_>,
+    b: &MatView<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    tier: DispatchTier,
+    ep: Epilogue<'_>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == DispatchTier::Avx2 && direct_avx2(a, b, m, k, n, out, ep) {
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for_row_blocks(m, k, n, out, |row0, rows| {
+        for (r, o_row) in rows.chunks_mut(n).enumerate() {
+            let i = row0 + r;
+            match b.layout {
+                Layout::RowMajor { .. } => direct_row_b_rowmajor(a, i, b.data, k, n, o_row),
+                Layout::ColMajor { .. } => direct_row_b_colmajor(a, i, b.data, k, o_row),
+                Layout::BatchCol { .. } => direct_row_generic(a, b, i, k, o_row),
+            }
+            ep.apply(o_row, 0);
+        }
+    });
+}
+
+/// [`direct`] on the AVX2 tier: [`simd::SMALL_MR`]-row tiles through
+/// [`simd::small_rows_avx2`], A read in place, a col-major B (the `nt`
+/// case) transposed once into row-major scratch. Returns `false`, touching
+/// nothing, for `BatchCol` operands.
+#[cfg(target_arch = "x86_64")]
+fn direct_avx2(
     a: &MatView<'_>,
     b: &MatView<'_>,
     m: usize,
@@ -668,30 +734,49 @@ fn direct(
     n: usize,
     out: &mut [f32],
     ep: Epilogue<'_>,
-) {
-    // Each row's full-k accumulation completes within one `per_row` call,
-    // so the epilogue runs right after it — same per-element op order as
-    // the separate bias/activation passes (see `Epilogue`).
-    let per_row = |i: usize, o_row: &mut [f32]| {
-        match b.layout {
-            Layout::RowMajor { .. } => direct_row_b_rowmajor(a, i, b.data, k, n, o_row),
-            Layout::ColMajor { .. } => direct_row_b_colmajor(a, i, b.data, k, o_row),
-            Layout::BatchCol { .. } => direct_row_generic(a, b, i, k, o_row),
-        }
-        ep.apply(o_row, 0);
+) -> bool {
+    let (a_rs, a_ks) = match a.layout {
+        Layout::RowMajor { cols, .. } => (cols, 1),
+        Layout::ColMajor { rows, .. } => (1, rows),
+        Layout::BatchCol { .. } => return false,
     };
-    if m * k * n >= PARALLEL_FLOP_THRESHOLD && m > ROWS_PER_BLOCK && pool::threads() > 1 {
-        pool::parallel_chunks_mut(out, ROWS_PER_BLOCK * n, |block, o_chunk| {
-            let row0 = block * ROWS_PER_BLOCK;
-            for (r, o_row) in o_chunk.chunks_mut(n).enumerate() {
-                per_row(row0 + r, o_row);
-            }
-        });
-    } else {
-        for (i, o_row) in out.chunks_mut(n).enumerate() {
-            per_row(i, o_row);
+    let b_t;
+    let b_rows: &[f32] = match b.layout {
+        Layout::RowMajor { .. } => b.data,
+        Layout::ColMajor { .. } => {
+            // `b.data` is `b` stored row-major as `n × k`.
+            let mut t = ScratchBuf::zeroed(k * n);
+            // Safety: as for the kernel call below.
+            unsafe { simd::transpose_avx2(b.data, n, k, &mut t) };
+            b_t = t;
+            &b_t
         }
-    }
+        Layout::BatchCol { .. } => return false,
+    };
+    for_row_blocks(m, k, n, out, |row0, rows| {
+        for (t, tile) in rows.chunks_mut(simd::SMALL_MR * n).enumerate() {
+            let a0 = ((row0 + t * simd::SMALL_MR) * a_rs).min(a.data.len());
+            // Safety: `Avx2` is only ever produced by `detect()` on hosts
+            // where `is_x86_feature_detected!("avx2")` held; the kernel
+            // checks the operand bounds itself.
+            unsafe {
+                simd::small_rows_avx2(
+                    tile.len() / n,
+                    k,
+                    &a.data[a0..],
+                    a_rs,
+                    a_ks,
+                    b_rows,
+                    n,
+                    tile,
+                );
+            }
+            for o_row in tile.chunks_mut(n) {
+                ep.apply(o_row, 0);
+            }
+        }
+    });
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -966,7 +1051,7 @@ fn fetch_packed_b(
 /// The packed panel loops with explicit tier and blocking parameters
 /// (callers resolve them via [`tune::params_for`] or pass pinned values).
 #[allow(clippy::too_many_arguments)]
-fn blocked(
+pub(crate) fn blocked(
     a: &MatView<'_>,
     b: &MatView<'_>,
     m: usize,

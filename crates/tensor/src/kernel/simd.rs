@@ -1,4 +1,6 @@
-//! Runtime-dispatched SIMD micro-kernels for the blocked matmul path.
+//! Runtime-dispatched SIMD kernels for the matmul paths: the blocked
+//! path's micro-kernels and, on AVX2, the direct path's unpacked
+//! small-product kernel.
 //!
 //! # Dispatch tiers
 //!
@@ -24,10 +26,12 @@
 //! FMA is deliberately **not** used — a fused multiply-add rounds once where
 //! `mul`+`add` rounds twice, which would change low bits. Each lane therefore
 //! produces the identical bit pattern the scalar tier produces, including
-//! signed zeros, subnormals, and NaN payloads (x86 and aarch64 vector lanes
-//! share their scalar ops' NaN-propagation rule, and the operand order is
-//! preserved). The property tests and `tests/simd.rs` assert this exact
-//! equality on every layout, at non-divisible shapes, and on edge values.
+//! signed zeros, subnormals, and NaN-ness (x86 and aarch64 vector lanes
+//! share their scalar ops' NaN-propagation rule; which payload wins when two
+//! NaNs meet follows the compiler's operand order — see the
+//! [`kernel`](crate::kernel) module docs). The property tests and
+//! `tests/simd.rs` assert this exact equality on every layout, at
+//! non-divisible shapes, and on edge values.
 //!
 //! The price of unfused arithmetic is half the peak FLOP rate of an FMA
 //! kernel; the reward is that the SIMD tier needs no separate numerics
@@ -35,7 +39,7 @@
 
 use std::sync::OnceLock;
 
-/// Instruction-set tier the blocked kernel's micro-kernels run on.
+/// Instruction-set tier the matmul kernels run on.
 ///
 /// All tiers compute bitwise-identical results (see module docs); the tier
 /// only decides how many output columns one instruction advances.
@@ -494,13 +498,113 @@ mod avx2 {
     mk_n16_edge!(m4n16_edge, 4);
     mk_n16_edge!(m6n16_edge, 6);
 
+    /// One unpacked small-product tile: `R` rows × `V` 8-lane vectors of C,
+    /// read straight from the operands. A element `(r, kk)` sits at
+    /// `a[r·a_rs + kk·a_ks]` (row- or col-major, read in place); `b` and `c`
+    /// are row-major with strides `ldb`/`ldc`, already offset to the tile's
+    /// first column. With `MASK_LAST` the last vector's B and C accesses go
+    /// through `mask` (the column edge); masked-out lanes load zeros, run
+    /// the fold on them and are never stored. Per lane this is the
+    /// canonical `acc = acc + a·b`, `k` ascending, from the C value.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_tile<const R: usize, const V: usize, const MASK_LAST: bool>(
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ks: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+        mask: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                let p = c.add(r * ldc + v * 8);
+                *x = if MASK_LAST && v == V - 1 {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                };
+            }
+        }
+        for kk in 0..k {
+            let b_row = b.add(kk * ldb);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = if MASK_LAST && v == V - 1 {
+                    _mm256_maskload_ps(b_row.add(v * 8), mask)
+                } else {
+                    _mm256_loadu_ps(b_row.add(v * 8))
+                };
+            }
+            let a_col = a.add(kk * a_ks);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let ar = _mm256_set1_ps(*a_col.add(r * a_rs));
+                for (x, &bx) in row.iter_mut().zip(&bv) {
+                    *x = _mm256_add_ps(*x, _mm256_mul_ps(ar, bx));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &x) in row.iter().enumerate() {
+                let p = c.add(r * ldc + v * 8);
+                if MASK_LAST && v == V - 1 {
+                    _mm256_maskstore_ps(p, mask, x);
+                } else {
+                    _mm256_storeu_ps(p, x);
+                }
+            }
+        }
+    }
+
+    /// `R` full output rows of a small product: 16-column tiles across `n`,
+    /// then one edge tile (masked unless it is exactly 8 wide).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn small_rows<const R: usize>(
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ks: usize,
+        b: *const f32,
+        n: usize,
+        c: *mut f32,
+    ) {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let all = _mm256_set1_epi32(-1);
+        let mut j = 0;
+        while j + 16 <= n {
+            small_tile::<R, 2, false>(k, a, a_rs, a_ks, b.add(j), n, c.add(j), n, all);
+            j += 16;
+        }
+        let rem = n - j;
+        let (b, c) = (b.wrapping_add(j), c.wrapping_add(j));
+        if rem > 8 {
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem as i32 - 8), lane);
+            small_tile::<R, 2, true>(k, a, a_rs, a_ks, b, n, c, n, mask);
+        } else if rem == 8 {
+            small_tile::<R, 1, false>(k, a, a_rs, a_ks, b, n, c, n, all);
+        } else if rem > 0 {
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem as i32), lane);
+            small_tile::<R, 1, true>(k, a, a_rs, a_ks, b, n, c, n, mask);
+        }
+    }
+
     /// Transposes one 8×8 `f32` block with in-register unpack/shuffle/permute
     /// passes: `src` points at 8 row-major matrix rows (stride `src_stride`),
-    /// `dst` receives the block `kk`-major (`dst[kk·8 + r]`) — the packed-A
-    /// strip layout. Pure data movement: bit patterns are copied, never
-    /// operated on, so packing stays numerically invisible.
+    /// `dst` receives the block `kk`-major (`dst[kk·dst_stride + r]`; stride
+    /// 8 is the packed-A strip layout). Pure data movement: bit patterns are
+    /// copied, never operated on, so packing stays numerically invisible.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose8x8(src: *const f32, src_stride: usize, dst: *mut f32) {
+    pub unsafe fn transpose8x8(
+        src: *const f32,
+        src_stride: usize,
+        dst: *mut f32,
+        dst_stride: usize,
+    ) {
         let a0 = _mm256_loadu_ps(src);
         let a1 = _mm256_loadu_ps(src.add(src_stride));
         let a2 = _mm256_loadu_ps(src.add(2 * src_stride));
@@ -528,14 +632,15 @@ mod avx2 {
         let c6 = _mm256_shuffle_ps(b5, b7, 0b01_00_01_00);
         let c7 = _mm256_shuffle_ps(b5, b7, 0b11_10_11_10);
         // 128-bit lane swap completes the transpose.
+        let s = dst_stride;
         _mm256_storeu_ps(dst, _mm256_permute2f128_ps(c0, c4, 0x20));
-        _mm256_storeu_ps(dst.add(8), _mm256_permute2f128_ps(c1, c5, 0x20));
-        _mm256_storeu_ps(dst.add(16), _mm256_permute2f128_ps(c2, c6, 0x20));
-        _mm256_storeu_ps(dst.add(24), _mm256_permute2f128_ps(c3, c7, 0x20));
-        _mm256_storeu_ps(dst.add(32), _mm256_permute2f128_ps(c0, c4, 0x31));
-        _mm256_storeu_ps(dst.add(40), _mm256_permute2f128_ps(c1, c5, 0x31));
-        _mm256_storeu_ps(dst.add(48), _mm256_permute2f128_ps(c2, c6, 0x31));
-        _mm256_storeu_ps(dst.add(56), _mm256_permute2f128_ps(c3, c7, 0x31));
+        _mm256_storeu_ps(dst.add(s), _mm256_permute2f128_ps(c1, c5, 0x20));
+        _mm256_storeu_ps(dst.add(2 * s), _mm256_permute2f128_ps(c2, c6, 0x20));
+        _mm256_storeu_ps(dst.add(3 * s), _mm256_permute2f128_ps(c3, c7, 0x20));
+        _mm256_storeu_ps(dst.add(4 * s), _mm256_permute2f128_ps(c0, c4, 0x31));
+        _mm256_storeu_ps(dst.add(5 * s), _mm256_permute2f128_ps(c1, c5, 0x31));
+        _mm256_storeu_ps(dst.add(6 * s), _mm256_permute2f128_ps(c2, c6, 0x31));
+        _mm256_storeu_ps(dst.add(7 * s), _mm256_permute2f128_ps(c3, c7, 0x31));
     }
 }
 
@@ -560,9 +665,82 @@ pub(super) unsafe fn pack_a_strip_avx2(
     debug_assert!(dst.len() >= kc * 8);
     let full = kc - kc % 8;
     for kk in (0..full).step_by(8) {
-        avx2::transpose8x8(src.add(kk), src_stride, dst.as_mut_ptr().add(kk * 8));
+        avx2::transpose8x8(src.add(kk), src_stride, dst.as_mut_ptr().add(kk * 8), 8);
     }
     full
+}
+
+/// Transposes row-major `rows × cols` `src` into row-major `cols × rows`
+/// `dst`: whole 8×8 blocks through the in-register transpose, the ragged
+/// right and bottom edges element by element. Pure data movement.
+///
+/// # Safety
+///
+/// AVX2 must be available (the caller dispatches on [`DispatchTier::Avx2`]).
+/// Operand bounds are checked here.
+#[cfg(target_arch = "x86_64")]
+pub(super) unsafe fn transpose_avx2(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(src.len() == rows * cols && dst.len() == rows * cols);
+    let (r8, c8) = (rows - rows % 8, cols - cols % 8);
+    for r in (0..r8).step_by(8) {
+        for c in (0..c8).step_by(8) {
+            avx2::transpose8x8(
+                src.as_ptr().add(r * cols + c),
+                cols,
+                dst.as_mut_ptr().add(c * rows + r),
+                rows,
+            );
+        }
+        for c in c8..cols {
+            for i in r..r + 8 {
+                dst[c * rows + i] = src[i * cols + c];
+            }
+        }
+    }
+    for i in r8..rows {
+        for (c, &v) in src[i * cols..(i + 1) * cols].iter().enumerate() {
+            dst[c * rows + i] = v;
+        }
+    }
+}
+
+/// Output rows per tile of the unpacked small-product kernel.
+pub(super) const SMALL_MR: usize = 4;
+
+/// The AVX2 small-product kernel: advances `rows ∈ 1..=SMALL_MR` output
+/// rows `c` (row-major, `rows × n`) in place by the full `k`-term fold,
+/// lanes along `n`, up to 4×16 accumulators per tile. A is read in place:
+/// element `(r, kk)` is `a[r·a_rs + kk·a_ks]`, so a row-major A passes
+/// `(cols, 1)` and a col-major one `(1, rows)`; `b` is row-major `k × n`.
+/// No packing, no blocking — per element it is the same unfused
+/// ascending-`k` chain as every other path (module docs), started from the
+/// C value, so it is bitwise-equal to them.
+///
+/// # Safety
+///
+/// AVX2 must be available (the caller dispatches on [`DispatchTier::Avx2`]).
+/// Operand bounds are checked here.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn small_rows_avx2(
+    rows: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    assert!((1..=SMALL_MR).contains(&rows) && c.len() == rows * n && b.len() == k * n);
+    assert!(k == 0 || (rows - 1) * a_rs + (k - 1) * a_ks < a.len());
+    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    match rows {
+        1 => avx2::small_rows::<1>(k, a, a_rs, a_ks, b, n, c),
+        2 => avx2::small_rows::<2>(k, a, a_rs, a_ks, b, n, c),
+        3 => avx2::small_rows::<3>(k, a, a_rs, a_ks, b, n, c),
+        _ => avx2::small_rows::<4>(k, a, a_rs, a_ks, b, n, c),
+    }
 }
 
 // ---------------------------------------------------------------------------

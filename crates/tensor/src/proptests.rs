@@ -454,3 +454,129 @@ fn batched_gemm_matches_per_call_bitwise() {
         }
     }
 }
+
+/// Bits with every NaN mapped to one pattern: when two NaN operands meet,
+/// which payload an add propagates depends on the operand order the
+/// compiler emits, so NaN-ness is compared exactly and payloads not at all.
+fn nan_canonical_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `0 · ±inf` is NaN on every path: no path skips a zero term, so size
+/// dispatch and the dispatch tier stay invisible on non-finite data too.
+/// Shapes on both sides of the blocked threshold (2^18 multiply-adds), both
+/// B layouts, the pinned scalar tier and the detected one.
+#[test]
+fn zeros_times_non_finite_match_naive_on_every_path_and_tier() {
+    const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (m, k, n) in [(7, 9, 13), (33, 64, 64), (70, 64, 64)] {
+        let mut rng = TensorRng::seed_from(11);
+        let mut a = rng.init(&[m, k], Init::Normal(1.0)).as_slice().to_vec();
+        let mut b = rng.init(&[k, n], Init::Normal(1.0)).as_slice().to_vec();
+        for x in a.iter_mut().step_by(3) {
+            *x = 0.0;
+        }
+        for (i, x) in b.iter_mut().enumerate().step_by(5) {
+            *x = NON_FINITE[i / 5 % 3];
+        }
+        let want = nan_canonical_bits(&naive_matmul(&a, &b, m, k, n));
+        assert!(want.iter().any(|&v| f32::from_bits(v).is_nan()));
+        // The same logical B stored transposed (the `nt` layout).
+        let b_t: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+        let av = MatView::row_major(&a, m, k);
+        for bv in [
+            MatView::row_major(&b, k, n),
+            MatView::transposed(&b_t, k, n),
+        ] {
+            for tier in [DispatchTier::Scalar, detect()] {
+                let params = match tier {
+                    DispatchTier::Scalar => KernelParams::pinned_scalar(),
+                    _ => KernelParams::heuristic(tier),
+                };
+                let mut out = vec![0.0f32; m * n];
+                matmul_into_with(&av, &bv, &mut out, tier, params);
+                assert_eq!(nan_canonical_bits(&out), want, "({m},{k},{n}) on {tier:?}");
+            }
+        }
+    }
+}
+
+// The small-product path against the blocked path and the naive reference
+// on every shape the PPO networks produce and beyond: m·k·n stays below the
+// blocked threshold, so `matmul_into_with` would always take the small path
+// — the blocked path is run directly on the same operands.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn small_path_matches_blocked_and_naive_bitwise(
+        m in 1usize..40, k in 1usize..80, n in 1usize..80,
+        layouts in 0usize..4, ep_kind in 0usize..4, seed in 0u64..1000,
+        picks in proptest::collection::vec((0usize..1 << 16, 0usize..16), 0..10),
+    ) {
+        use crate::kernel::{blocked, direct};
+        use crate::Epilogue;
+
+        let mut rng = TensorRng::seed_from(seed);
+        let mut a = rng.init(&[m, k], Init::Normal(1.0)).as_slice().to_vec();
+        let mut b = rng.init(&[k, n], Init::Normal(1.0)).as_slice().to_vec();
+        let mut bias = rng.init(&[n], Init::Normal(1.0)).as_slice().to_vec();
+        sprinkle(&mut a, &picks, 0);
+        sprinkle(&mut b, &picks, 3);
+        sprinkle(&mut bias, &picks, 5);
+        let ep = match ep_kind {
+            0 => Epilogue::None,
+            1 => Epilogue::Bias(&bias),
+            2 => Epilogue::BiasRelu(&bias),
+            _ => Epilogue::Relu,
+        };
+
+        let mut want = naive_matmul(&a, &b, m, k, n);
+        for (idx, o) in want.iter_mut().enumerate() {
+            let j = idx % n;
+            match ep_kind {
+                0 => {}
+                1 => *o += bias[j],
+                2 => *o = (*o + bias[j]).max(0.0),
+                _ => *o = o.max(0.0),
+            }
+        }
+        let want = nan_canonical_bits(&want);
+
+        // The same logical operands, stored transposed where asked.
+        let a_t: Vec<f32> = (0..m * k).map(|x| a[(x % m) * k + x / m]).collect();
+        let b_t: Vec<f32> = (0..k * n).map(|x| b[(x % k) * n + x / k]).collect();
+        let (a_col_major, b_col_major) = (layouts & 1 == 1, layouts & 2 == 2);
+        let av = if a_col_major {
+            MatView::transposed(&a_t, m, k)
+        } else {
+            MatView::row_major(&a, m, k)
+        };
+        let bv = if b_col_major {
+            MatView::transposed(&b_t, k, n)
+        } else {
+            MatView::row_major(&b, k, n)
+        };
+
+        for tier in [DispatchTier::Scalar, detect()] {
+            let params = match tier {
+                DispatchTier::Scalar => KernelParams::pinned_scalar(),
+                _ => KernelParams::heuristic(tier),
+            };
+            let mut small = vec![0.0f32; m * n];
+            direct(&av, &bv, m, k, n, &mut small, tier, ep);
+            prop_assert_eq!(&nan_canonical_bits(&small), &want, "small path on {:?}", tier);
+            let mut packed = vec![0.0f32; m * n];
+            blocked(&av, &bv, m, k, n, &mut packed, tier, params, ep);
+            prop_assert_eq!(&nan_canonical_bits(&packed), &want, "blocked path on {:?}", tier);
+        }
+    }
+}

@@ -155,3 +155,62 @@ fn autotuner_cold_then_warm_is_pinned_and_bitwise_stable() {
         );
     }
 }
+
+/// The PPO networks' products all fall below the blocked threshold, so they
+/// run the small-product path — unpacked AVX2 tiles on the vector tier,
+/// scalar loops on the pinned one. Both tiers, and the env-honoring public
+/// API, must agree bitwise on every layout the forward and backward passes
+/// use: plain `x·W`, `tn` (`xᵀ·dy`) and `nt` (`dy·Wᵀ`).
+#[test]
+fn ppo_small_products_match_across_tiers_bitwise() {
+    let tier = detect();
+    let mut rng = TensorRng::seed_from(31);
+    for (m, k, n) in [(30, 64, 64), (1, 62, 64), (32, 64, 1), (32, 64, 5)] {
+        let a = rng.init(&[m, k], Init::Normal(1.0));
+        let a_t = a.transpose();
+        let b = rng.init(&[k, n], Init::Normal(1.0));
+        let b_t = b.transpose();
+        let cases = [
+            (
+                "plain",
+                MatView::row_major(a.as_slice(), m, k),
+                MatView::row_major(b.as_slice(), k, n),
+                a.matmul(&b),
+            ),
+            (
+                "tn",
+                MatView::transposed(a_t.as_slice(), m, k),
+                MatView::row_major(b.as_slice(), k, n),
+                a_t.matmul_tn(&b),
+            ),
+            (
+                "nt",
+                MatView::row_major(a.as_slice(), m, k),
+                MatView::transposed(b_t.as_slice(), k, n),
+                a.matmul_nt(&b_t),
+            ),
+        ];
+        for (name, av, bv, public) in cases {
+            let mut want = vec![0.0f32; m * n];
+            matmul_into_with(
+                &av,
+                &bv,
+                &mut want,
+                DispatchTier::Scalar,
+                KernelParams::pinned_scalar(),
+            );
+            let mut vector = vec![0.0f32; m * n];
+            matmul_into_with(&av, &bv, &mut vector, tier, KernelParams::heuristic(tier));
+            assert_eq!(
+                bits(&vector),
+                bits(&want),
+                "{m}x{k}x{n} {name}: {tier:?} diverged from pinned scalar"
+            );
+            assert_eq!(
+                bits(public.as_slice()),
+                bits(&want),
+                "{m}x{k}x{n} {name}: public API diverged from pinned scalar"
+            );
+        }
+    }
+}

@@ -11,9 +11,10 @@ use chiron::{Chiron, ChironConfig, Mechanism};
 use chiron_data::DatasetKind;
 use chiron_fedsim::{EdgeLearningEnv, EnvConfig};
 use chiron_telemetry::{
-    add_sink, remove_sink, reset_metrics, set_enabled, Record, RingBufferSink, TelemetrySession,
+    add_sink, prometheus_text, remove_sink, reset_metrics, set_enabled, Record, RingBufferSink,
+    TelemetrySession,
 };
-use chiron_tensor::pool;
+use chiron_tensor::{pool, Init, TensorRng};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -137,4 +138,38 @@ fn telemetry_session_writes_valid_jsonl_and_prometheus_dump() {
     let prom = std::fs::read_to_string(dir.join("run.jsonl.prom")).expect("prom dump");
     assert!(prom.contains("# TYPE chiron_"), "prometheus dump rendered");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every kernel call is counted under the tier it dispatched to — the small
+/// products below the blocked threshold (all of the PPO's) as well as the
+/// blocked ones — so the tier counter matches `tensor.kernel.calls`.
+#[test]
+fn dispatch_counters_count_small_and_blocked_products() {
+    let _gate = GATE.lock().unwrap();
+    let counter = |prom: &str, name: &str| -> u64 {
+        let key = format!("chiron_{} ", name.replace('.', "_"));
+        prom.lines()
+            .find_map(|l| l.strip_prefix(&key))
+            .map_or(0, |v| v.parse().expect("counter value"))
+    };
+    let mut rng = TensorRng::seed_from(3);
+    let x = rng.init(&[32, 64], Init::Normal(1.0));
+    let w = rng.init(&[64, 64], Init::Normal(1.0));
+    let cols = rng.init(&[128, 256], Init::Normal(1.0));
+    let k = rng.init(&[256, 64], Init::Normal(1.0));
+    reset_metrics();
+    set_enabled(true);
+    let _ = x.matmul(&w); // 32·64·64 < 2^18: small path
+    let _ = x.matmul_nt(&w);
+    let _ = cols.matmul(&k); // 128·256·64 ≥ 2^18: blocked path
+    set_enabled(false);
+    let prom = prometheus_text();
+    reset_metrics();
+    let tier = chiron_tensor::active_tier().label();
+    assert_eq!(counter(&prom, "tensor.kernel.calls"), 3);
+    assert_eq!(
+        counter(&prom, &format!("tensor.kernel.dispatch.{tier}")),
+        3,
+        "every kernel call must be counted under its dispatch tier"
+    );
 }

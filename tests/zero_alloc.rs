@@ -111,3 +111,23 @@ fn federated_round_is_allocation_free_after_warmup() {
         "steady-state federated rounds must not allocate through the arena"
     );
 }
+
+/// Building and dropping networks must not grow the arena: a dropped
+/// network's weights go back to the arena, and the next build's
+/// initializers take them out again instead of allocating fresh ones.
+#[test]
+fn rebuilt_agents_reuse_the_arena_instead_of_growing_it() {
+    pool::set_threads(1);
+    let mut after_second = 0;
+    for build in 1..=20 {
+        drop(PpoAgent::new(62, 5, &[64, 64], PpoConfig::default(), build));
+        if build == 2 {
+            after_second = scratch::retained_elems();
+        }
+    }
+    assert_eq!(
+        scratch::retained_elems(),
+        after_second,
+        "each build-and-drop of an agent grew the arena"
+    );
+}
